@@ -7,7 +7,8 @@
 //!
 //! * **hard floors** (`min_*`) — the PR's acceptance criteria, applied
 //!   as-is (no tolerance): labeled-read scaling with two replicas, the
-//!   reactor-vs-thread-pool pipelining speedup, the idle-connection count;
+//!   reactor's pipelined-over-unpipelined WIPS speedup, the idle-connection
+//!   count;
 //! * **hard ceilings** (`max_*`) — acceptance criteria that bound a cost
 //!   from above, also applied as-is: resident KB per idle connection;
 //! * **baseline bands** (`baseline_*`) — absolute throughput numbers

@@ -47,7 +47,11 @@ use ifdb_storage::{Datum, StorageError};
 /// (per-principal admission quota); `Reconfigure` hot-swaps the server's
 /// QoS limits without a restart, and `Stats` returns the unified
 /// [`MetricsSnapshot`] tree.
-pub const PROTOCOL_VERSION: u32 = 4;
+///
+/// Version 5: `Stats` carries the platform secret and is served only on an
+/// authenticated connection — its engine and audit counters sum over
+/// labeled data, so they are operator-only.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on a frame payload. Frames beyond this are a protocol error,
 /// not an allocation request.
@@ -980,9 +984,14 @@ pub enum Request {
         config: Vec<u64>,
     },
     /// Asks for the unified metrics tree — answered with
-    /// [`Response::Stats`]. Requires no session, so monitoring can scrape a
-    /// node it has no credentials on.
-    Stats,
+    /// [`Response::Stats`]. Operator-only: it needs a completed handshake
+    /// and the platform secret (the same trust anchor as `Reconfigure`),
+    /// because counters such as `tuples_scanned` and `declassifications`
+    /// move with activity on data the caller may not read.
+    Stats {
+        /// The platform secret configured on the server.
+        secret: String,
+    },
 }
 
 /// The unified observability tree ([`Request::Stats`]): named counter
@@ -1372,7 +1381,10 @@ impl Request {
                 w.str(secret);
                 w.tags(config);
             }
-            Request::Stats => w.u8(27),
+            Request::Stats { secret } => {
+                w.u8(27);
+                w.str(secret);
+            }
         }
         w.finish()
     }
@@ -1463,7 +1475,7 @@ impl Request {
                 secret: r.str()?,
                 config: r.tags()?,
             },
-            27 => Request::Stats,
+            27 => Request::Stats { secret: r.str()? },
             t => return Err(protocol_error(format!("unknown request tag {t}"))),
         };
         if !r.at_end() {
@@ -2098,7 +2110,9 @@ mod tests {
                 secret: "s3cret".into(),
                 config: vec![9, 1, 0, 1, 500, 0, 0, 0, 0],
             },
-            Request::Stats,
+            Request::Stats {
+                secret: "s3cret".into(),
+            },
         ];
         for req in reqs {
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);

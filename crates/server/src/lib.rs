@@ -6,13 +6,13 @@
 //! clients operate concurrently (Section 7). This crate provides that front
 //! door for the reproduction:
 //!
-//! * an **event-driven reactor core** (the default [`Backend::Reactor`]):
-//!   one reactor thread multiplexes every connection over epoll (the
-//!   in-tree [`polling`] crate), doing nonblocking reads/writes with
-//!   per-connection buffers and incremental frame assembly, while a small
-//!   **executor pool** runs ready statements — the reactor thread never
-//!   blocks on I/O, so thousands of mostly-idle labeled connections cost
-//!   one thread plus a few KB each;
+//! * one **event-driven reactor core**: a single reactor thread multiplexes
+//!   every connection over epoll (the in-tree [`polling`] crate), doing
+//!   nonblocking reads/writes with per-connection buffers and incremental
+//!   frame assembly, while a small **executor pool** of
+//!   [`ServerConfig::workers`] threads runs ready statements — the reactor
+//!   thread never blocks on I/O, so thousands of mostly-idle labeled
+//!   connections cost one thread plus a few KB each;
 //! * a **pipelined wire protocol**: clients send many request frames per
 //!   flush; the server executes each connection's requests strictly in
 //!   FIFO order (so the §7.2 label piggybacking on responses stays
@@ -22,9 +22,6 @@
 //!   until the peer drains it, so a slow reader cannot balloon server
 //!   memory; the accept-time refusal remains only as a connection-count
 //!   quota ([`ServerConfig::max_connections`]);
-//! * the legacy **blocking thread pool** ([`Backend::ThreadPool`]) kept as
-//!   an alternative backend (and as the bench baseline): a bounded accept
-//!   queue feeding `workers` threads, one connection served per thread;
 //! * per-connection [`ifdb::Session`] state: the process label, the open
 //!   transaction, and result cursors for streamed batches;
 //! * a **server-wide prepared-statement cache** ([`StatementCache`]): value-
@@ -41,14 +38,13 @@
 
 #![deny(missing_docs)]
 
-mod pool;
 mod qos;
 mod reactor;
 pub mod replica;
 
 pub use replica::{start_replica, ReplicaConfig, ReplicaHandle, ReplicaStats};
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,45 +60,25 @@ use ifdb_difc::Label;
 use ifdb_platform::Authenticator;
 use parking_lot::RwLock;
 
-/// Which serving core a server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The event-driven core: one epoll reactor thread for all I/O plus a
-    /// pool of `workers` statement executors. Scales to thousands of
-    /// mostly-idle connections.
-    #[default]
-    Reactor,
-    /// The blocking thread-per-connection pool: `workers` threads, each
-    /// serving one connection at a time, with a bounded accept queue.
-    /// Concurrency is capped at `workers`.
-    ThreadPool,
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind; use port 0 for an ephemeral port (tests).
     pub addr: String,
-    /// Which serving core to run; [`Backend::Reactor`] by default.
-    pub backend: Backend,
-    /// Statement executor threads (reactor backend) or connection-serving
-    /// worker threads (thread-pool backend, where this also caps concurrent
-    /// connections).
+    /// Statement executor threads. Connections are not tied to threads:
+    /// the reactor serves every open connection and hands ready statements
+    /// to these executors.
     pub workers: usize,
-    /// Thread-pool backend only — bounded accept queue: connections beyond
-    /// `workers` wait here; beyond the backlog they are refused with
-    /// `SERVER_BUSY`.
-    pub accept_backlog: usize,
-    /// Reactor backend only — hard cap on concurrently open connections;
-    /// beyond it, new connections are refused with `SERVER_BUSY`. This is
-    /// the only accept-time refusal the reactor performs: load is otherwise
-    /// absorbed by per-connection backpressure, not by refusing admission.
+    /// Hard cap on concurrently open connections; beyond it, new
+    /// connections are refused with `SERVER_BUSY`. This is the only
+    /// accept-time refusal the reactor performs: load is otherwise absorbed
+    /// by per-connection backpressure, not by refusing admission.
     pub max_connections: usize,
-    /// Reactor backend only — per-connection bound (bytes) on buffered
-    /// response data. A connection whose un-flushed responses exceed it is
-    /// paused (the reactor stops *reading* it) until the peer drains below
-    /// half the bound, so a slow reader holds at most ~this much server
-    /// memory instead of ballooning it.
+    /// Per-connection bound (bytes) on buffered response data. A connection
+    /// whose un-flushed responses exceed it is paused (the reactor stops
+    /// *reading* it) until the peer drains below half the bound, so a slow
+    /// reader holds at most ~this much server memory instead of ballooning
+    /// it.
     pub outbound_buffer_limit: usize,
     /// Per-connection statement timeout. A statement that exceeds it inside
     /// an explicit transaction aborts the transaction and reports
@@ -153,8 +129,7 @@ pub struct ServerConfig {
     pub sync_replication: Option<Duration>,
     /// The initial QoS policy: per-statement execution budgets, per-principal
     /// admission quotas, and scheduling weights. Unlimited by default; hot-
-    /// reloadable at runtime via the authenticated `Reconfigure` wire request
-    /// (admission quotas are enforced on the reactor backend only).
+    /// reloadable at runtime via the authenticated `Reconfigure` wire request.
     pub qos: QosConfig,
 }
 
@@ -162,9 +137,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            backend: Backend::Reactor,
             workers: 16,
-            accept_backlog: 32,
             max_connections: 4096,
             outbound_buffer_limit: 1 << 20,
             statement_timeout: Duration::from_secs(5),
@@ -186,8 +159,7 @@ impl ServerConfig {
     /// Starts a [`ServerConfigBuilder`] from the defaults. Unlike mutating
     /// the public fields directly, the builder's [`ServerConfigBuilder::build`]
     /// cross-validates the result and refuses inconsistent combinations
-    /// (a shard id without a shard map, semi-sync without replication,
-    /// admission quotas on the thread-pool backend).
+    /// (a shard id without a shard map, semi-sync without replication).
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder {
             config: ServerConfig::default(),
@@ -212,13 +184,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Selects the serving core.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Sets the executor/worker thread count.
+    /// Sets the statement executor thread count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -305,15 +271,6 @@ impl ServerConfigBuilder {
                     .into(),
             ));
         }
-        let quotas_limited =
-            c.qos.default_quota != ifdb::PrincipalQuota::unlimited() || !c.qos.overrides.is_empty();
-        if quotas_limited && c.backend == Backend::ThreadPool {
-            return Err(invalid(
-                "admission quotas require the reactor backend; the thread-pool backend does not \
-                 consult the QoS gate"
-                    .into(),
-            ));
-        }
         Ok(self.config)
     }
 }
@@ -321,9 +278,10 @@ impl ServerConfigBuilder {
 /// A snapshot of the server's counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Connections accepted and served (or queued).
+    /// Connections accepted and served.
     pub connections_accepted: u64,
-    /// Connections refused by admission control (queue full).
+    /// Connections refused at accept time because
+    /// [`ServerConfig::max_connections`] were already open.
     pub connections_rejected: u64,
     /// Connections currently being served.
     pub connections_active: u64,
@@ -360,12 +318,10 @@ pub struct ServerStats {
     /// Queued-but-unexecuted pipelined statements cancelled because an
     /// earlier statement on the same connection hit the statement timeout.
     pub pipelined_cancelled: u64,
-    /// Response frames encoded on the reactor's outbox path (reactor
-    /// backend only; the thread-pool backend writes frames directly to its
-    /// per-connection socket writer and does not count here).
+    /// Response frames encoded on the reactor's outbox path.
     pub frames_encoded: u64,
-    /// Total response payload bytes encoded on the reactor's outbox path
-    /// (reactor backend only), before framing overhead.
+    /// Total response payload bytes encoded on the reactor's outbox path,
+    /// before framing overhead.
     pub response_bytes: u64,
 }
 
@@ -487,8 +443,6 @@ struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
     shutdown_at: StdMutex<Option<Instant>>,
-    queue: StdMutex<VecDeque<TcpStream>>,
-    queue_cvar: Condvar,
     counters: Counters,
     cache: StatementCache,
     /// The QoS gate: hot-reloadable execution budgets, per-principal
@@ -577,14 +531,26 @@ impl Shared {
         }
     }
 
-    /// The log epoch the watermark belongs to.
-    fn current_epoch(&self) -> u64 {
-        if self.ha.promoted.load(Ordering::Acquire) {
-            return self.db.engine().wal().epoch();
-        }
+    /// The watermark together with the log epoch it belongs to, as one
+    /// consistent `(seq, epoch)` pair: a read-your-writes client compares
+    /// the seq only within the epoch, so a seq from one epoch must never be
+    /// reported under another.
+    fn current_watermark(&self) -> (u64, u64) {
+        let wal = self.db.engine().wal();
         match &self.watermark {
-            WatermarkSource::Wal => self.db.engine().wal().epoch(),
-            WatermarkSource::Applied { epoch, .. } => epoch.load(Ordering::Acquire),
+            WatermarkSource::Applied { seq, epoch }
+                if !self.ha.promoted.load(Ordering::Acquire) =>
+            {
+                // The replica apply loop zeroes the seq before it switches
+                // the epoch, and publishes a seq of the new epoch only after
+                // the switch. An epoch that changed across the seq load
+                // means nothing of the new epoch is applied yet.
+                let before = epoch.load(Ordering::Acquire);
+                let applied = seq.load(Ordering::Acquire);
+                let after = epoch.load(Ordering::Acquire);
+                (if before == after { applied } else { 0 }, after)
+            }
+            _ => (wal.last_seq(), wal.epoch()),
         }
     }
 
@@ -692,28 +658,18 @@ impl Shared {
     }
 }
 
-/// The backend-specific half of a running server.
-enum BackendHandle {
-    Pool {
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
-    Reactor(reactor::ReactorHandle),
-}
-
 /// A handle to a running server: its bound address, statistics, and the
 /// shutdown switch.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    backend: BackendHandle,
+    reactor: reactor::ReactorHandle,
 }
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerHandle")
             .field("addr", &self.addr)
-            .field("backend", &self.shared.config.backend)
             .finish()
     }
 }
@@ -774,26 +730,7 @@ impl ServerHandle {
             *at = Some(Instant::now());
         }
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &mut self.backend {
-            BackendHandle::Pool {
-                accept_thread,
-                workers,
-            } => {
-                self.shared.queue_cvar.notify_all();
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                // Refuse anything still queued.
-                let mut queue = self.shared.queue.lock().expect("queue lock");
-                while let Some(stream) = queue.pop_front() {
-                    refuse(stream, code::SHUTTING_DOWN, "server is shutting down");
-                }
-            }
-            BackendHandle::Reactor(handle) => handle.shutdown_join(),
-        }
+        self.reactor.shutdown_join();
         self.stats()
     }
 }
@@ -849,22 +786,16 @@ fn start_inner(
         config,
         shutdown: AtomicBool::new(false),
         shutdown_at: StdMutex::new(None),
-        queue: StdMutex::new(VecDeque::new()),
-        queue_cvar: Condvar::new(),
         counters: Counters::default(),
         watermark,
         ha: HaShared::default(),
     });
 
-    let backend = match shared.config.backend {
-        Backend::ThreadPool => pool::start(listener, shared.clone()),
-        Backend::Reactor => BackendHandle::Reactor(reactor::start(listener, shared.clone())?),
-    };
-
+    let reactor = reactor::start(listener, shared.clone())?;
     Ok(ServerHandle {
         addr,
         shared,
-        backend,
+        reactor,
     })
 }
 
@@ -903,8 +834,7 @@ struct ConnState {
     /// still in socket buffers, not yet parsed), and none of it may run
     /// against the now-aborted transaction. The state is **sticky** until a
     /// client-visible sync point (`Begin`/`Commit`/`Abort`) arrives, so
-    /// late-arriving frames of the same batch are cancelled too, on both
-    /// backends.
+    /// late-arriving frames of the same batch are cancelled too.
     cancel_queued: bool,
 }
 
@@ -948,10 +878,10 @@ fn handle_request(
         // Watermark and replication polls need no user session: the former
         // is a read of a public counter, the latter authenticates with the
         // replication secret on every poll.
-        Request::Watermark => Response::Watermark {
-            seq: shared.current_seq(),
-            epoch: shared.current_epoch(),
-        },
+        Request::Watermark => {
+            let (seq, epoch) = shared.current_watermark();
+            Response::Watermark { seq, epoch }
+        }
         Request::ReplPoll {
             secret,
             from_seq,
@@ -967,17 +897,21 @@ fn handle_request(
         Request::HaStatus => ha_status_response(shared),
         // The QoS control plane is sessionless as well: Reconfigure carries
         // the platform secret on every request (same trust anchor as
-        // password-less logins), Stats is a read of public counters.
+        // password-less logins).
         Request::Reconfigure { secret, config } => handle_reconfigure(shared, &secret, &config),
-        Request::Stats => Response::Stats {
-            snapshot: metrics_snapshot(shared),
+        // Stats is operator-only: its counters sum over labeled data, so it
+        // needs an authenticated connection *and* the platform secret.
+        Request::Stats { secret } => match state {
+            None => handshake_required(),
+            Some(_) => {
+                check_platform_secret(shared, &secret, "stats").unwrap_or_else(|| Response::Stats {
+                    snapshot: metrics_snapshot(shared),
+                })
+            }
         },
         other => {
             let Some(conn) = state.as_mut() else {
-                return encode_error(&IfdbError::Remote {
-                    code: code::PROTOCOL as u16,
-                    detail: "handshake required before any other message".into(),
-                });
+                return handshake_required();
             };
             // Sticky statement-timeout cancellation: after a timeout aborts
             // the transaction, nothing the client pipelined behind the
@@ -1004,52 +938,36 @@ fn handle_request(
                         code: code::STATEMENT_TIMEOUT as u16,
                         detail: "cancelled: an earlier pipelined statement timed out".into(),
                     };
-                    return match encode_error(&e) {
-                        Response::Error {
-                            code,
-                            detail,
-                            label0,
-                            label1,
-                            aux,
-                            ..
-                        } => Response::Error {
-                            code,
-                            detail,
-                            label0,
-                            label1,
-                            aux,
-                            session_label: Some(conn.session.label().to_array()),
-                        },
-                        resp => resp,
-                    };
+                    return error_with_label(&e, conn);
                 }
             }
-            match handle_message(shared, conn, other) {
-                Ok(resp) => resp,
-                // A failed statement can still have changed the process
-                // label (a trigger raised it before the statement aborted);
-                // attach the authoritative label so the client mirror — and
-                // its output gate — follows error paths too.
-                Err(e) => match encode_error(&e) {
-                    Response::Error {
-                        code,
-                        detail,
-                        label0,
-                        label1,
-                        aux,
-                        ..
-                    } => Response::Error {
-                        code,
-                        detail,
-                        label0,
-                        label1,
-                        aux,
-                        session_label: Some(conn.session.label().to_array()),
-                    },
-                    resp => resp,
-                },
-            }
+            handle_message(shared, conn, other).unwrap_or_else(|e| error_with_label(&e, conn))
         }
+    }
+}
+
+/// Encodes an error on an authenticated connection with the session's
+/// current label attached. A failed statement can still have changed the
+/// process label (a trigger raised it before the statement aborted), so the
+/// client mirror — and its output gate — follows error paths too.
+fn error_with_label(e: &IfdbError, conn: &ConnState) -> Response {
+    match encode_error(e) {
+        Response::Error {
+            code,
+            detail,
+            label0,
+            label1,
+            aux,
+            ..
+        } => Response::Error {
+            code,
+            detail,
+            label0,
+            label1,
+            aux,
+            session_label: Some(conn.session.label().to_array()),
+        },
+        resp => resp,
     }
 }
 
@@ -1068,20 +986,8 @@ fn handle_repl_poll(
     applied_seq: u64,
     generation: u64,
 ) -> Response {
-    match &shared.config.replication_secret {
-        Some(expected) if expected == secret => {}
-        Some(_) => {
-            return encode_error(&IfdbError::Remote {
-                code: code::REPLICATION_DENIED as u16,
-                detail: "invalid replication secret".into(),
-            })
-        }
-        None => {
-            return encode_error(&IfdbError::Remote {
-                code: code::REPLICATION_DENIED as u16,
-                detail: "replication is not enabled on this server".into(),
-            })
-        }
+    if let Some(refusal) = check_repl_secret(shared, secret) {
+        return refusal;
     }
     if shared.db.is_read_only() && !shared.ha.promoted.load(Ordering::Acquire) {
         // A replica front end does not serve replication (its log is in
@@ -1151,11 +1057,12 @@ fn check_repl_secret(shared: &Shared, secret: &str) -> Option<Response> {
 /// watermark. Unauthenticated by design — failover probes race the fault
 /// they are reacting to, and the answer reveals only topology, not data.
 fn ha_status_response(shared: &Arc<Shared>) -> Response {
+    let (seq, epoch) = shared.current_watermark();
     Response::HaStatus {
         role: shared.ha_role(),
         generation: shared.db.engine().wal().generation(),
-        epoch: shared.current_epoch(),
-        seq: shared.current_seq(),
+        epoch,
+        seq,
     }
 }
 
@@ -1206,20 +1113,8 @@ fn handle_fence(shared: &Arc<Shared>, secret: &str, generation: u64) -> Response
 /// the budget they were armed with; every later statement (on every already-
 /// open connection) sees the new policy.
 fn handle_reconfigure(shared: &Arc<Shared>, secret: &str, config: &[u64]) -> Response {
-    match &shared.config.platform_secret {
-        Some(expected) if expected == secret => {}
-        Some(_) => {
-            return encode_error(&IfdbError::Remote {
-                code: code::REMOTE as u16,
-                detail: "invalid platform secret".into(),
-            })
-        }
-        None => {
-            return encode_error(&IfdbError::Remote {
-                code: code::REMOTE as u16,
-                detail: "reconfiguration requires a platform secret to be configured".into(),
-            })
-        }
+    if let Some(refusal) = check_platform_secret(shared, secret, "reconfiguration") {
+        return refusal;
     }
     let Some(new) = QosConfig::from_wire(config) else {
         return encode_error(&IfdbError::Remote {
@@ -1232,6 +1127,27 @@ fn handle_reconfigure(shared: &Arc<Shared>, secret: &str, config: &[u64]) -> Res
         label: Vec::new(),
         seq: shared.current_seq(),
     }
+}
+
+/// Checks the platform secret for the operator requests (`Reconfigure`,
+/// `Stats`); `Some(refusal)` when it is wrong or none is configured.
+fn check_platform_secret(shared: &Shared, secret: &str, what: &str) -> Option<Response> {
+    let detail = match &shared.config.platform_secret {
+        Some(expected) if expected == secret => return None,
+        Some(_) => "invalid platform secret".to_string(),
+        None => format!("{what} requires a platform secret to be configured"),
+    };
+    Some(encode_error(&IfdbError::Remote {
+        code: code::REMOTE as u16,
+        detail,
+    }))
+}
+
+fn handshake_required() -> Response {
+    encode_error(&IfdbError::Remote {
+        code: code::PROTOCOL as u16,
+        detail: "handshake required before any other message".into(),
+    })
 }
 
 /// Assembles the unified metrics tree served by `Request::Stats` (and by
@@ -1500,7 +1416,7 @@ fn handle_message(
         | Request::Fence { .. }
         | Request::HaStatus
         | Request::Reconfigure { .. }
-        | Request::Stats => unreachable!("handled by caller"),
+        | Request::Stats { .. } => unreachable!("handled by caller"),
         Request::Login { user, password } => {
             let principal = authenticate(shared, &user, password.as_deref(), conn.trusted)?;
             session.reset(principal);

@@ -177,7 +177,7 @@ struct FlushList {
     tokens: Mutex<Vec<usize>>,
 }
 
-/// A running reactor backend.
+/// A running reactor: its thread, its executors and the poller that wakes it.
 pub(crate) struct ReactorHandle {
     poller: Arc<Poller>,
     exec: Arc<ExecQueue>,
@@ -736,7 +736,7 @@ fn drain_inbox(shared: &Arc<Shared>, conn: &Arc<ConnShared>) -> bool {
         let is_goodbye = matches!(request, Request::Goodbye);
         // A panicking statement must not take the executor down: close the
         // connection instead, dropping its session (which aborts any open
-        // transaction), as the thread-pool backend's catch_unwind did.
+        // transaction).
         let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             handle_request(shared, state, request)
         }));

@@ -550,6 +550,8 @@ fn apply_one_poll(
         // Reset: same recovery, but the batch in hand is already the start
         // of the new bootstrap, so it applies below.
         applier.reset(db.engine());
+        // Zero the watermark *before* the epoch switches below: readers
+        // pair the two (`Shared::current_watermark`) and rely on this order.
         shared.applied_seq.store(0, Ordering::Release);
         shared.resets.fetch_add(1, Ordering::Relaxed);
         db.resync_catalog()?;

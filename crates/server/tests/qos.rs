@@ -10,7 +10,7 @@ use ifdb::prelude::*;
 use ifdb_client::{ClientConfig, Connection, RouterConfig};
 use ifdb_difc::audit::AuditEvent;
 use ifdb_platform::Authenticator;
-use ifdb_server::{start, Backend, ServerConfig};
+use ifdb_server::{start, ServerConfig};
 
 const PLATFORM_SECRET: &str = "qos-admin-secret";
 
@@ -114,6 +114,7 @@ fn rate_quota_refuses_but_never_starves_neighbors() {
         db,
         auth,
         ServerConfig {
+            platform_secret: Some(PLATFORM_SECRET.into()),
             qos: QosConfig {
                 default_quota: PrincipalQuota::unlimited().with_max_rps(2),
                 ..QosConfig::default()
@@ -144,7 +145,7 @@ fn rate_quota_refuses_but_never_starves_neighbors() {
     std::thread::sleep(Duration::from_millis(1100));
     alice.select(&probe).unwrap();
 
-    let snapshot = alice.server_stats().unwrap();
+    let snapshot = alice.server_stats(PLATFORM_SECRET).unwrap();
     assert!(snapshot.get("qos", "refused_rate").unwrap() >= 1);
     assert_eq!(snapshot.get("qos", "in_flight"), Some(0));
 
@@ -201,7 +202,7 @@ fn reconfigure_applies_live_without_dropping_connections() {
         .unwrap();
     assert_eq!(tenant.select(&full_scan).unwrap().len(), 100);
 
-    let snapshot = admin.server_stats().unwrap();
+    let snapshot = admin.server_stats(PLATFORM_SECRET).unwrap();
     assert_eq!(snapshot.get("qos", "reconfigures"), Some(2));
 
     tenant.close().unwrap();
@@ -212,12 +213,20 @@ fn reconfigure_applies_live_without_dropping_connections() {
 #[test]
 fn stats_request_serves_the_unified_tree() {
     let (db, auth) = qos_db();
-    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let server = start(
+        db,
+        auth,
+        ServerConfig {
+            platform_secret: Some(PLATFORM_SECRET.into()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
     let addr = server.addr().to_string();
 
     let mut c = connect(&addr, "alice", "pw-a");
     c.select(&Select::star("items")).unwrap();
-    let snapshot = c.server_stats().unwrap();
+    let snapshot = c.server_stats(PLATFORM_SECRET).unwrap();
 
     // One tree, four planes.
     for group in ["server", "engine", "qos", "audit"] {
@@ -239,6 +248,66 @@ fn stats_request_serves_the_unified_tree() {
         "wire and in-process trees must have the same shape"
     );
 
+    c.close().unwrap();
+    server.shutdown();
+}
+
+/// `Stats` exposes counters that sum over labeled data (`tuples_scanned`,
+/// `declassifications`), so it is operator-only: refused before the
+/// handshake, without the platform secret, with a wrong one, and on a
+/// server that has none configured.
+#[test]
+fn stats_request_requires_handshake_and_platform_secret() {
+    use ifdb_client::protocol::{read_frame_id, write_frame_id, Request, Response};
+    use std::io::{BufReader, BufWriter, Write};
+
+    let refused = |r: IfdbResult<ifdb_client::protocol::MetricsSnapshot>| {
+        assert!(matches!(r, Err(IfdbError::Remote { .. })), "{r:?}");
+    };
+    let (db, auth) = qos_db();
+    let server = start(
+        db,
+        auth,
+        ServerConfig {
+            platform_secret: Some(PLATFORM_SECRET.into()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+
+    // Before Hello: refused even with the right secret.
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut writer = BufWriter::new(stream.try_clone().unwrap());
+    let mut reader = BufReader::new(stream);
+    let stats = Request::Stats {
+        secret: PLATFORM_SECRET.into(),
+    };
+    write_frame_id(&mut writer, 1, &stats.encode()).unwrap();
+    writer.flush().unwrap();
+    let (_, payload) = read_frame_id(&mut reader).unwrap().expect("response");
+    match Response::decode(&payload).unwrap() {
+        Response::Error { detail, .. } => assert!(detail.contains("handshake"), "{detail}"),
+        other => panic!("Stats answered before the handshake: {other:?}"),
+    }
+
+    // After Hello: no secret and a wrong secret are refused.
+    let mut c = connect(&addr, "alice", "pw-a");
+    refused(c.server_stats(""));
+    refused(c.server_stats("wrong-secret"));
+    // The refusals leave the connection usable, and the operator is served.
+    assert!(c.server_stats(PLATFORM_SECRET).is_ok());
+    c.close().unwrap();
+    server.shutdown();
+
+    // A server with no platform secret serves Stats to nobody on the wire.
+    let (db, auth) = qos_db();
+    let server = start(db, auth, ServerConfig::default()).unwrap();
+    let mut c = connect(&server.addr().to_string(), "alice", "pw-a");
+    refused(c.server_stats(""));
+    refused(c.server_stats(PLATFORM_SECRET));
+    // The in-process twin stays available to the operator.
+    assert!(server.metrics().get("server", "requests").is_some());
     c.close().unwrap();
     server.shutdown();
 }
@@ -265,17 +334,8 @@ fn server_config_builder_validates_combinations() {
         .build()
         .unwrap();
 
-    // Admission quotas are enforced by the reactor only.
-    assert!(ServerConfig::builder()
-        .backend(Backend::ThreadPool)
-        .qos(QosConfig {
-            default_quota: PrincipalQuota::unlimited().with_max_in_flight(2),
-            ..QosConfig::default()
-        })
-        .build()
-        .is_err());
+    // Admission quotas build.
     ServerConfig::builder()
-        .backend(Backend::Reactor)
         .qos(QosConfig {
             default_quota: PrincipalQuota::unlimited().with_max_in_flight(2),
             ..QosConfig::default()

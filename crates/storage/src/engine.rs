@@ -1345,6 +1345,9 @@ impl StorageEngine {
             Ok(image)
         })?;
         drop(audit);
+        // From here on this node's transactions stream to peer replicas;
+        // they must carry primary-range ids, like the old primary's did.
+        self.txns.resume_primary_ids();
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.commits_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(count)

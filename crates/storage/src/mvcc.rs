@@ -593,6 +593,25 @@ impl TransactionManager {
         self.next_id.fetch_max(base, Ordering::SeqCst);
     }
 
+    /// Moves local id allocation back into the primary range, just above
+    /// every replicated id this node has seen. Called when a replica is
+    /// promoted: its writes stream to peer replicas, which reserve the
+    /// [`REPLICA_LOCAL_TXN_BASE`] range for their own reads. A successor
+    /// writing from that range would collide with a peer's local
+    /// transactions and land at or above its snapshot horizon, leaving
+    /// applied commits invisible there.
+    pub(crate) fn resume_primary_ids(&self) {
+        let table = self.table.read();
+        let max_seen = table
+            .status
+            .keys()
+            .map(|id| id.0)
+            .filter(|id| *id < REPLICA_LOCAL_TXN_BASE)
+            .max()
+            .unwrap_or(BOOTSTRAP_TXN.0);
+        self.next_id.store(max_seen + 1, Ordering::SeqCst);
+    }
+
     /// Discards every transaction's status (replica reset before a fresh
     /// bootstrap). The id allocator is left alone so snapshots handed out
     /// before the reset stay internally consistent.

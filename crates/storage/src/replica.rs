@@ -438,6 +438,55 @@ mod tests {
     }
 
     #[test]
+    fn successor_writes_are_visible_on_a_resynced_peer_replica() {
+        // Regression: a promoted replica kept allocating transaction ids
+        // from the replica-local range. A peer replica that re-synced onto
+        // the successor's log then saw those ids at or above its own
+        // snapshot horizon, so a write it had applied (and whose seq its
+        // watermark already covered) stayed invisible to its reads — a
+        // read-your-writes violation after failover.
+        let dir = std::env::temp_dir().join(format!("ifdb-replica-peer-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let primary = primary_with_rows(&dir, 2);
+        let replica = || {
+            let eng = StorageEngine::in_memory();
+            eng.txns()
+                .reserve_local_ids(crate::mvcc::REPLICA_LOCAL_TXN_BASE);
+            eng
+        };
+        let successor = replica();
+        let peer = replica();
+        let mut successor_applier = ReplicaApplier::new();
+        let mut peer_applier = ReplicaApplier::new();
+        pump(&primary, &successor, &mut successor_applier);
+        pump(&primary, &peer, &mut peer_applier);
+
+        successor.promote_to_primary(2).expect("promotion");
+        let t = successor.table_by_name("t").unwrap();
+        for v in [10, 11] {
+            let txn = successor.begin().unwrap();
+            assert!(
+                txn.0 < crate::mvcc::REPLICA_LOCAL_TXN_BASE,
+                "a primary allocates from the primary range: {txn:?}"
+            );
+            successor
+                .insert(txn, t.id(), vec![], vec![Datum::Int(v)])
+                .unwrap();
+            successor.commit(txn).unwrap();
+        }
+
+        // The peer is re-pointed at the successor: a new log epoch, so it
+        // discards its state and re-syncs from the promotion image.
+        peer_applier.reset(&peer);
+        pump(&successor, &peer, &mut peer_applier);
+        assert_eq!(peer_applier.applied_seq(), successor.wal().last_seq());
+        // Every write the watermark covers is visible, to every later read.
+        assert_eq!(visible_count(&peer, "t"), 4);
+        assert_eq!(visible_count(&peer, "t"), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn checkpoint_while_replica_lags_forces_reset() {
         let dir = std::env::temp_dir().join(format!("ifdb-replica-reset-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
