@@ -30,31 +30,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Counters of what the proxy has done to the traffic.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ProxyStats {
-    /// Frames forwarded unharmed.
-    pub frames_forwarded: u64,
-    /// Frames corrupted (one payload byte flipped).
-    pub frames_corrupted: u64,
-    /// Frames dropped (and the carrying connection severed).
-    pub frames_dropped: u64,
-    /// Frames duplicated.
-    pub frames_duplicated: u64,
-    /// Connections accepted and spliced to the backend.
-    pub connections: u64,
-    /// Connection attempts refused while partitioned.
-    pub refused: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    frames_forwarded: AtomicU64,
-    frames_corrupted: AtomicU64,
-    frames_dropped: AtomicU64,
-    frames_duplicated: AtomicU64,
-    connections: AtomicU64,
-    refused: AtomicU64,
+ifdb_storage::counters! {
+    /// Counters of what the proxy has done to the traffic.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct ProxyStats;
+    struct Counters: Acquire {
+        /// Frames forwarded unharmed.
+        frames_forwarded,
+        /// Frames corrupted (one payload byte flipped).
+        frames_corrupted,
+        /// Frames dropped (and the carrying connection severed).
+        frames_dropped,
+        /// Frames duplicated.
+        frames_duplicated,
+        /// Connections accepted and spliced to the backend.
+        connections,
+        /// Connection attempts refused while partitioned.
+        refused,
+    }
 }
 
 struct ProxyState {
@@ -166,15 +159,7 @@ impl FaultProxy {
 
     /// Counter snapshot.
     pub fn stats(&self) -> ProxyStats {
-        let c = &self.state.counters;
-        ProxyStats {
-            frames_forwarded: c.frames_forwarded.load(Ordering::Acquire),
-            frames_corrupted: c.frames_corrupted.load(Ordering::Acquire),
-            frames_dropped: c.frames_dropped.load(Ordering::Acquire),
-            frames_duplicated: c.frames_duplicated.load(Ordering::Acquire),
-            connections: c.connections.load(Ordering::Acquire),
-            refused: c.refused.load(Ordering::Acquire),
-        }
+        self.state.counters.load()
     }
 
     /// Stops the proxy and severs everything.

@@ -7,6 +7,7 @@
 //! exists so operators and tests can verify where declassification happens.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -339,6 +340,10 @@ impl fmt::Display for AuditEvent {
 #[derive(Debug, Default)]
 pub struct AuditLog {
     events: Mutex<Vec<AuditEvent>>,
+    /// Events recorded, readable without the `events` lock.
+    recorded: AtomicU64,
+    /// Declassification events recorded, readable without the `events` lock.
+    declassifications: AtomicU64,
 }
 
 impl AuditLog {
@@ -349,17 +354,25 @@ impl AuditLog {
 
     /// Appends an event.
     pub fn record(&self, event: AuditEvent) {
+        let declassifies = matches!(
+            event,
+            AuditEvent::Declassify { .. } | AuditEvent::DeclassifyingView { .. }
+        );
         self.events.lock().push(event);
+        self.recorded.fetch_add(1, Ordering::Relaxed);
+        if declassifies {
+            self.declassifications.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.recorded.load(Ordering::Relaxed) as usize
     }
 
     /// Returns `true` if no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.len() == 0
     }
 
     /// Snapshot of all events recorded so far.
@@ -371,16 +384,7 @@ impl AuditLog {
     /// figure used by the trusted-base report: every one of these is a place
     /// where policy is exercised.
     pub fn declassification_count(&self) -> usize {
-        self.events
-            .lock()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    AuditEvent::Declassify { .. } | AuditEvent::DeclassifyingView { .. }
-                )
-            })
-            .count()
+        self.declassifications.load(Ordering::Relaxed) as usize
     }
 }
 

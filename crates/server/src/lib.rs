@@ -275,54 +275,59 @@ impl ServerConfigBuilder {
     }
 }
 
-/// A snapshot of the server's counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections accepted and served.
-    pub connections_accepted: u64,
-    /// Connections refused at accept time because
-    /// [`ServerConfig::max_connections`] were already open.
-    pub connections_rejected: u64,
-    /// Connections currently being served.
-    pub connections_active: u64,
-    /// Protocol requests handled.
-    pub requests: u64,
-    /// Statements executed (Execute messages).
-    pub statements: u64,
-    /// Prepared-statement cache hits (an Execute resolved a cached template,
-    /// or a Prepare found its template already cached).
-    pub stmt_cache_hits: u64,
-    /// Prepared-statement cache misses (a Prepare registered a new
-    /// template).
-    pub stmt_cache_misses: u64,
-    /// Distinct templates resident in the cache.
-    pub stmt_cache_size: u64,
-    /// Statements that exceeded the statement timeout inside an explicit
-    /// transaction (transaction aborted).
-    pub statement_timeouts: u64,
-    /// Auto-committed statements that finished past the deadline (delivered,
-    /// but flagged).
-    pub slow_statements: u64,
-    /// In-flight transactions aborted because their connection died or the
-    /// server shut down before they finished.
-    pub txns_aborted_on_disconnect: u64,
-    /// Requests that arrived (or were already queued) after shutdown began
-    /// and were still executed during the drain window.
-    pub requests_drained_on_shutdown: u64,
-    /// Pipelined requests still queued when the shutdown drain deadline
-    /// passed; they were discarded, not executed.
-    pub requests_aborted_on_shutdown: u64,
-    /// Times the reactor paused reading a connection because its buffered
-    /// responses exceeded [`ServerConfig::outbound_buffer_limit`].
-    pub backpressure_pauses: u64,
-    /// Queued-but-unexecuted pipelined statements cancelled because an
-    /// earlier statement on the same connection hit the statement timeout.
-    pub pipelined_cancelled: u64,
-    /// Response frames encoded on the reactor's outbox path.
-    pub frames_encoded: u64,
-    /// Total response payload bytes encoded on the reactor's outbox path,
-    /// before framing overhead.
-    pub response_bytes: u64,
+ifdb_storage::counters! {
+    /// A snapshot of the server's counters.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct ServerStats;
+    struct Counters: Relaxed {
+        /// Connections accepted and served.
+        connections_accepted,
+        /// Connections refused at accept time because
+        /// [`ServerConfig::max_connections`] were already open.
+        connections_rejected,
+        /// Connections currently being served.
+        connections_active,
+        /// Protocol requests handled.
+        requests,
+        /// Statements executed (Execute messages).
+        statements,
+        /// Prepared-statement cache hits (an Execute resolved a cached template,
+        /// or a Prepare found its template already cached).
+        stmt_cache_hits,
+        /// Prepared-statement cache misses (a Prepare registered a new
+        /// template).
+        stmt_cache_misses,
+        /// Statements that exceeded the statement timeout inside an explicit
+        /// transaction (transaction aborted).
+        statement_timeouts,
+        /// Auto-committed statements that finished past the deadline (delivered,
+        /// but flagged).
+        slow_statements,
+        /// In-flight transactions aborted because their connection died or the
+        /// server shut down before they finished.
+        txns_aborted_on_disconnect,
+        /// Requests that arrived (or were already queued) after shutdown began
+        /// and were still executed during the drain window.
+        requests_drained_on_shutdown,
+        /// Pipelined requests still queued when the shutdown drain deadline
+        /// passed; they were discarded, not executed.
+        requests_aborted_on_shutdown,
+        /// Times the reactor paused reading a connection because its buffered
+        /// responses exceeded [`ServerConfig::outbound_buffer_limit`].
+        backpressure_pauses,
+        /// Queued-but-unexecuted pipelined statements cancelled because an
+        /// earlier statement on the same connection hit the statement timeout.
+        pipelined_cancelled,
+        /// Response frames encoded on the reactor's outbox path.
+        frames_encoded,
+        /// Total response payload bytes encoded on the reactor's outbox path,
+        /// before framing overhead.
+        response_bytes,
+    }
+    read {
+        /// Distinct templates resident in the cache.
+        stmt_cache_size,
+    }
 }
 
 impl ServerStats {
@@ -335,26 +340,6 @@ impl ServerStats {
             self.stmt_cache_hits as f64 / total as f64
         }
     }
-}
-
-#[derive(Default)]
-struct Counters {
-    connections_accepted: AtomicU64,
-    connections_rejected: AtomicU64,
-    connections_active: AtomicU64,
-    requests: AtomicU64,
-    statements: AtomicU64,
-    stmt_cache_hits: AtomicU64,
-    stmt_cache_misses: AtomicU64,
-    statement_timeouts: AtomicU64,
-    slow_statements: AtomicU64,
-    txns_aborted_on_disconnect: AtomicU64,
-    requests_drained_on_shutdown: AtomicU64,
-    requests_aborted_on_shutdown: AtomicU64,
-    backpressure_pauses: AtomicU64,
-    pipelined_cancelled: AtomicU64,
-    frames_encoded: AtomicU64,
-    response_bytes: AtomicU64,
 }
 
 /// Lock stripes in the statement cache's template→id map. Power of two;
@@ -514,6 +499,13 @@ enum WatermarkSource {
 }
 
 impl Shared {
+    fn stats(&self) -> ServerStats {
+        ServerStats {
+            stmt_cache_size: self.cache.len() as u64,
+            ..self.counters.load()
+        }
+    }
+
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }
@@ -687,26 +679,7 @@ impl ServerHandle {
 
     /// A snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
-        let c = &self.shared.counters;
-        ServerStats {
-            connections_accepted: c.connections_accepted.load(Ordering::Relaxed),
-            connections_rejected: c.connections_rejected.load(Ordering::Relaxed),
-            connections_active: c.connections_active.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            statements: c.statements.load(Ordering::Relaxed),
-            stmt_cache_hits: c.stmt_cache_hits.load(Ordering::Relaxed),
-            stmt_cache_misses: c.stmt_cache_misses.load(Ordering::Relaxed),
-            stmt_cache_size: self.shared.cache.len() as u64,
-            statement_timeouts: c.statement_timeouts.load(Ordering::Relaxed),
-            slow_statements: c.slow_statements.load(Ordering::Relaxed),
-            txns_aborted_on_disconnect: c.txns_aborted_on_disconnect.load(Ordering::Relaxed),
-            requests_drained_on_shutdown: c.requests_drained_on_shutdown.load(Ordering::Relaxed),
-            requests_aborted_on_shutdown: c.requests_aborted_on_shutdown.load(Ordering::Relaxed),
-            backpressure_pauses: c.backpressure_pauses.load(Ordering::Relaxed),
-            pipelined_cancelled: c.pipelined_cancelled.load(Ordering::Relaxed),
-            frames_encoded: c.frames_encoded.load(Ordering::Relaxed),
-            response_bytes: c.response_bytes.load(Ordering::Relaxed),
-        }
+        self.shared.stats()
     }
 
     /// The unified metrics tree: engine, server, QoS and audit counters in
@@ -1150,92 +1123,51 @@ fn handshake_required() -> Response {
     })
 }
 
+ifdb_storage::counters! {
+    /// The audit plane's counts, as served in the `audit` metrics group.
+    struct AuditStats;
+    read {
+        /// Links in the engine's tamper-evident audit chain
+        /// ([`ifdb_storage::EngineStats::audit_records`]).
+        chained_records,
+        /// Events in the in-memory audit log.
+        events,
+        /// Declassification events in the in-memory audit log.
+        declassifications,
+    }
+}
+
 /// Assembles the unified metrics tree served by `Request::Stats` (and by
-/// [`ServerHandle::metrics`] in-process): the storage engine's counters, the
-/// serving front end's, the QoS gate's, and the audit plane's, as one
-/// [`MetricsSnapshot`]. The tree is open — counters are named, not
-/// positional — so groups grow without a protocol bump.
-fn metrics_snapshot(shared: &Arc<Shared>) -> MetricsSnapshot {
+/// [`ServerHandle::metrics`] in-process): the serving front end's counters,
+/// the storage engine's, the QoS gate's, and the audit plane's, as one
+/// [`MetricsSnapshot`]. Each group is a typed snapshot's
+/// [`counters`](ServerStats::counters), so the tree serves every field of
+/// every snapshot under its field name. The tree is open — counters are
+/// named, not positional — so groups grow without a protocol bump.
+fn metrics_snapshot(shared: &Shared) -> MetricsSnapshot {
+    let engine = shared.db.engine().stats();
+    let audit = AuditStats {
+        chained_records: engine.audit_records,
+        events: shared.db.audit().len() as u64,
+        declassifications: shared.db.audit().declassification_count() as u64,
+    };
     let mut snap = MetricsSnapshot::default();
-    let c = &shared.counters;
-    let server = snap.group_mut("server");
-    server
-        .push(
-            "connections_accepted",
-            c.connections_accepted.load(Ordering::Relaxed),
-        )
-        .push(
-            "connections_rejected",
-            c.connections_rejected.load(Ordering::Relaxed),
-        )
-        .push(
-            "connections_active",
-            c.connections_active.load(Ordering::Relaxed),
-        )
-        .push("requests", c.requests.load(Ordering::Relaxed))
-        .push("statements", c.statements.load(Ordering::Relaxed))
-        .push("stmt_cache_hits", c.stmt_cache_hits.load(Ordering::Relaxed))
-        .push(
-            "stmt_cache_misses",
-            c.stmt_cache_misses.load(Ordering::Relaxed),
-        )
-        .push("stmt_cache_size", shared.cache.len() as u64)
-        .push(
-            "statement_timeouts",
-            c.statement_timeouts.load(Ordering::Relaxed),
-        )
-        .push("slow_statements", c.slow_statements.load(Ordering::Relaxed))
-        .push(
-            "backpressure_pauses",
-            c.backpressure_pauses.load(Ordering::Relaxed),
-        )
-        .push(
-            "pipelined_cancelled",
-            c.pipelined_cancelled.load(Ordering::Relaxed),
-        )
-        .push("frames_encoded", c.frames_encoded.load(Ordering::Relaxed))
-        .push("response_bytes", c.response_bytes.load(Ordering::Relaxed));
-    let e = shared.db.engine().stats();
-    let engine = snap.group_mut("engine");
-    engine
-        .push("buffer_hits", e.buffer_hits)
-        .push("buffer_misses", e.buffer_misses)
-        .push("writebacks", e.writebacks)
-        .push("evictions", e.evictions)
-        .push("tuples_inserted", e.tuples_inserted)
-        .push("tuples_deleted", e.tuples_deleted)
-        .push("tuples_scanned", e.tuples_scanned)
-        .push("full_table_scans", e.full_table_scans)
-        .push("index_point_lookups", e.index_point_lookups)
-        .push("index_range_scans", e.index_range_scans)
-        .push("txns_started", e.txns_started)
-        .push("wal_bytes", e.wal_bytes)
-        .push("wal_fsyncs", e.wal_fsyncs)
-        .push("commits_batched", e.commits_batched)
-        .push("checkpoints", e.checkpoints)
-        .push("vacuums", e.vacuums)
-        .push("replica_records_applied", e.replica_records_applied);
-    let q = &shared.qos;
-    let qos_group = snap.group_mut("qos");
-    qos_group
-        .push("admitted", q.admitted.load(Ordering::Relaxed))
-        .push("completed", q.completed.load(Ordering::Relaxed))
-        .push("in_flight", q.in_flight_total())
-        .push(
-            "refused_in_flight",
-            q.refused_in_flight.load(Ordering::Relaxed),
-        )
-        .push("refused_rate", q.refused_rate.load(Ordering::Relaxed))
-        .push("reconfigures", q.reconfigures.load(Ordering::Relaxed))
-        .push("sched_yields", q.sched_yields.load(Ordering::Relaxed));
-    let audit = snap.group_mut("audit");
-    audit
-        .push("chained_records", e.audit_records)
-        .push("events", shared.db.audit().len() as u64)
-        .push(
-            "declassifications",
-            shared.db.audit().declassification_count() as u64,
-        );
+    for (name, value) in shared.stats().counters() {
+        snap.group_mut("server").push(name, value);
+    }
+    // The chain length is served once, as `audit.chained_records`.
+    for (name, value) in engine
+        .counters()
+        .filter(|(name, _)| *name != "audit_records")
+    {
+        snap.group_mut("engine").push(name, value);
+    }
+    for (name, value) in shared.qos.stats().counters() {
+        snap.group_mut("qos").push(name, value);
+    }
+    for (name, value) in audit.counters() {
+        snap.group_mut("audit").push(name, value);
+    }
     snap
 }
 

@@ -13,7 +13,7 @@
 //! statement without dropping a single connection.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Instant;
 
@@ -35,22 +35,34 @@ struct PrincipalUsage {
     last_refill: Instant,
 }
 
+ifdb_storage::counters! {
+    /// A snapshot of the gate's counters (the `qos` metrics group).
+    pub(crate) struct QosStats;
+    struct QosCounters: Relaxed {
+        /// Statements admitted past the gate.
+        admitted,
+        /// Admitted statements that finished (success or error).
+        completed,
+        /// Statements refused because the principal's in-flight quota was full.
+        refused_in_flight,
+        /// Statements refused because the principal's rate quota was empty.
+        refused_rate,
+        /// Successful `Reconfigure` requests applied.
+        reconfigures,
+        /// Times the drain loop preempted a connection at its quantum.
+        sched_yields,
+    }
+    read {
+        /// Statements executing right now (admissions − completions).
+        in_flight,
+    }
+}
+
 /// Admission gate + counters. One per server, shared by every connection.
 pub(crate) struct QosGate {
     config: RwLock<Arc<QosConfig>>,
     usage: StdMutex<HashMap<u64, PrincipalUsage>>,
-    /// Statements admitted past the gate.
-    pub(crate) admitted: AtomicU64,
-    /// Admitted statements that finished (success or error).
-    pub(crate) completed: AtomicU64,
-    /// Statements refused because the principal's in-flight quota was full.
-    pub(crate) refused_in_flight: AtomicU64,
-    /// Statements refused because the principal's rate quota was empty.
-    pub(crate) refused_rate: AtomicU64,
-    /// Successful `Reconfigure` requests applied.
-    pub(crate) reconfigures: AtomicU64,
-    /// Times the drain loop preempted a connection at its quantum.
-    pub(crate) sched_yields: AtomicU64,
+    pub(crate) counters: QosCounters,
 }
 
 impl QosGate {
@@ -58,12 +70,15 @@ impl QosGate {
         QosGate {
             config: RwLock::new(Arc::new(config)),
             usage: StdMutex::new(HashMap::new()),
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            refused_in_flight: AtomicU64::new(0),
-            refused_rate: AtomicU64::new(0),
-            reconfigures: AtomicU64::new(0),
-            sched_yields: AtomicU64::new(0),
+            counters: QosCounters::default(),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> QosStats {
+        let s = self.counters.load();
+        QosStats {
+            in_flight: s.admitted.saturating_sub(s.completed),
+            ..s
         }
     }
 
@@ -77,7 +92,7 @@ impl QosGate {
     /// limits; the next admission on every connection sees the new ones.
     pub(crate) fn reconfigure(&self, config: QosConfig) {
         *self.config.write() = Arc::new(config);
-        self.reconfigures.fetch_add(1, Ordering::Relaxed);
+        self.counters.reconfigures.fetch_add(1, Ordering::Relaxed);
     }
 
     fn quota_for(&self, principal: u64) -> PrincipalQuota {
@@ -99,7 +114,9 @@ impl QosGate {
         });
         if quota.max_in_flight > 0 && u.in_flight >= quota.max_in_flight {
             drop(usage);
-            self.refused_in_flight.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .refused_in_flight
+                .fetch_add(1, Ordering::Relaxed);
             return Err(IfdbError::QuotaExceeded {
                 detail: format!(
                     "principal {principal} is at its in-flight statement quota ({})",
@@ -114,7 +131,7 @@ impl QosGate {
             u.last_refill = now;
             if u.tokens < 1.0 {
                 drop(usage);
-                self.refused_rate.fetch_add(1, Ordering::Relaxed);
+                self.counters.refused_rate.fetch_add(1, Ordering::Relaxed);
                 return Err(IfdbError::QuotaExceeded {
                     detail: format!(
                         "principal {principal} is over its request rate quota ({}/s)",
@@ -126,7 +143,7 @@ impl QosGate {
         }
         u.in_flight += 1;
         drop(usage);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(AdmitGuard {
             gate: self,
             principal,
@@ -142,13 +159,6 @@ impl QosGate {
             .get(&principal)
             .map(|u| u.in_flight)
             .unwrap_or(0)
-    }
-
-    /// Total statements executing right now (admissions − completions).
-    pub(crate) fn in_flight_total(&self) -> u64 {
-        self.admitted
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.completed.load(Ordering::Relaxed))
     }
 
     /// How many statements a connection of `principal` may drain in one
@@ -183,7 +193,7 @@ impl QosGate {
             }
         }
         drop(usage);
-        self.completed.fetch_add(1, Ordering::Relaxed);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -227,7 +237,7 @@ mod tests {
         assert_eq!(gate.in_flight_of(7), 100);
         drop(guards);
         assert_eq!(gate.in_flight_of(7), 0);
-        assert_eq!(gate.in_flight_total(), 0);
+        assert_eq!(gate.stats().in_flight, 0);
     }
 
     #[test]
@@ -241,7 +251,7 @@ mod tests {
         let _c = gate.admit(2).unwrap();
         drop(a);
         let _d = gate.admit(1).unwrap();
-        assert_eq!(gate.refused_in_flight.load(Ordering::Relaxed), 1);
+        assert_eq!(gate.stats().refused_in_flight, 1);
     }
 
     #[test]
@@ -251,7 +261,7 @@ mod tests {
             drop(gate.admit(1).unwrap());
         }
         assert!(gate.admit(1).is_err());
-        assert_eq!(gate.refused_rate.load(Ordering::Relaxed), 1);
+        assert_eq!(gate.stats().refused_rate, 1);
     }
 
     #[test]
@@ -311,17 +321,16 @@ mod tests {
                         });
                     }
                 }
-                proptest::prop_assert_eq!(gate.in_flight_total(), live.len() as u64);
+                proptest::prop_assert_eq!(gate.stats().in_flight, live.len() as u64);
                 for p in 0..3u64 {
                     let expect = live.iter().filter(|(q, _)| *q == p).count() as u32;
                     proptest::prop_assert_eq!(gate.in_flight_of(p), expect);
                 }
             }
             drop(live);
-            proptest::prop_assert_eq!(gate.in_flight_total(), 0);
-            let admitted = gate.admitted.load(Ordering::Relaxed);
-            let completed = gate.completed.load(Ordering::Relaxed);
-            proptest::prop_assert_eq!(admitted, completed);
+            proptest::prop_assert_eq!(gate.stats().in_flight, 0);
+            let stats = gate.stats();
+            proptest::prop_assert_eq!(stats.admitted, stats.completed);
         }
     }
 

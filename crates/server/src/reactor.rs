@@ -760,7 +760,11 @@ fn drain_inbox(shared: &Arc<Shared>, conn: &Arc<ConnShared>) -> bool {
             // Quantum exhausted: yield the executor. Anything still queued
             // re-schedules this connection behind the other ready ones.
             if !conn.inbox.lock().is_empty() {
-                shared.qos.sched_yields.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .qos
+                    .counters
+                    .sched_yields
+                    .fetch_add(1, Ordering::Relaxed);
             }
             break;
         }

@@ -99,40 +99,40 @@ impl ReplicaConfig {
     }
 }
 
-/// A snapshot of a replica's apply-loop counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaStats {
-    /// Applied-seq watermark: the highest primary log sequence applied.
-    pub applied_seq: u64,
-    /// The primary's last observed (durable) sequence number; lag is
-    /// `primary_end_seq - applied_seq`.
-    pub primary_end_seq: u64,
-    /// Log records applied since start (across resets).
-    pub records_applied: u64,
-    /// Non-empty batches applied.
-    pub batches: u64,
-    /// Stream resets (bootstrap + re-bootstraps after checkpoint
-    /// truncation or primary restart).
-    pub resets: u64,
-    /// Replication connections established (1 = never lost the stream).
-    pub connects: u64,
-    /// Batches refused because they carried a promotion generation lower
-    /// than one this replica has already seen: a fenced (or not yet
-    /// self-fenced "zombie") old primary kept serving its divergent tail
-    /// after a successor was promoted, and the replica must not apply it.
-    pub stale_batches_rejected: u64,
+ifdb_storage::counters! {
+    /// A snapshot of a replica's apply-loop counters.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct ReplicaStats;
+    struct ReplicaCounters: Relaxed {
+        /// The primary's last observed (durable) sequence number; lag is
+        /// `primary_end_seq - applied_seq`.
+        primary_end_seq,
+        /// Log records applied since start (across resets).
+        records_applied,
+        /// Non-empty batches applied.
+        batches,
+        /// Stream resets (bootstrap + re-bootstraps after checkpoint
+        /// truncation or primary restart).
+        resets,
+        /// Replication connections established (1 = never lost the stream).
+        connects,
+        /// Batches refused because they carried a promotion generation lower
+        /// than one this replica has already seen: a fenced (or not yet
+        /// self-fenced "zombie") old primary kept serving its divergent tail
+        /// after a successor was promoted, and the replica must not apply it.
+        stale_batches_rejected,
+    }
+    read {
+        /// Applied-seq watermark: the highest primary log sequence applied.
+        applied_seq,
+    }
 }
 
 struct ReplicaShared {
     stop: AtomicBool,
     applied_seq: Arc<AtomicU64>,
     epoch: Arc<AtomicU64>,
-    primary_end_seq: AtomicU64,
-    records_applied: AtomicU64,
-    batches: AtomicU64,
-    resets: AtomicU64,
-    connects: AtomicU64,
-    stale_batches_rejected: AtomicU64,
+    counters: ReplicaCounters,
     /// The address the apply loop (re)connects to. Mutable so a failover
     /// orchestrator can re-point a surviving replica at the promoted
     /// successor; takes effect on the next reconnect.
@@ -208,12 +208,7 @@ impl ReplicaHandle {
     pub fn stats(&self) -> ReplicaStats {
         ReplicaStats {
             applied_seq: self.shared.applied_seq.load(Ordering::Acquire),
-            primary_end_seq: self.shared.primary_end_seq.load(Ordering::Relaxed),
-            records_applied: self.shared.records_applied.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            resets: self.shared.resets.load(Ordering::Relaxed),
-            connects: self.shared.connects.load(Ordering::Relaxed),
-            stale_batches_rejected: self.shared.stale_batches_rejected.load(Ordering::Relaxed),
+            ..self.shared.counters.load()
         }
     }
 
@@ -391,12 +386,7 @@ pub fn start_replica(
         stop: AtomicBool::new(false),
         applied_seq: Arc::new(AtomicU64::new(0)),
         epoch: Arc::new(AtomicU64::new(0)),
-        primary_end_seq: AtomicU64::new(0),
-        records_applied: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        resets: AtomicU64::new(0),
-        connects: AtomicU64::new(0),
-        stale_batches_rejected: AtomicU64::new(0),
+        counters: ReplicaCounters::default(),
         primary_addr: StdMutex::new(config.primary_addr.clone()),
         promote: StdMutex::new(PromoteSlot::default()),
         promote_cvar: Condvar::new(),
@@ -409,7 +399,7 @@ pub fn start_replica(
         code: ifdb_client::protocol::code::PROTOCOL as u16,
         detail: format!("connect {}: {e}", config.primary_addr),
     })?;
-    shared.connects.fetch_add(1, Ordering::Relaxed);
+    shared.counters.connects.fetch_add(1, Ordering::Relaxed);
     loop {
         let caught_up = apply_one_poll(&config, &db, &shared, &mut applier, &mut conn)?;
         if caught_up {
@@ -528,6 +518,7 @@ fn apply_one_poll(
     // self-fence).
     if generation < known_generation {
         shared
+            .counters
             .stale_batches_rejected
             .fetch_add(1, Ordering::Relaxed);
         return Err(IfdbError::Remote {
@@ -553,7 +544,7 @@ fn apply_one_poll(
         // Zero the watermark *before* the epoch switches below: readers
         // pair the two (`Shared::current_watermark`) and rely on this order.
         shared.applied_seq.store(0, Ordering::Release);
-        shared.resets.fetch_add(1, Ordering::Relaxed);
+        shared.counters.resets.fetch_add(1, Ordering::Relaxed);
         db.resync_catalog()?;
         if epoch_changed && !reset {
             shared.epoch.store(epoch, Ordering::Release);
@@ -561,7 +552,10 @@ fn apply_one_poll(
         }
     }
     shared.epoch.store(epoch, Ordering::Release);
-    shared.primary_end_seq.store(end_seq, Ordering::Relaxed);
+    shared
+        .counters
+        .primary_end_seq
+        .store(end_seq, Ordering::Relaxed);
     if records.is_empty() {
         // An empty batch can still move the stream position: the primary
         // skips its checkpoint image for a replica that already has the
@@ -602,9 +596,10 @@ fn apply_one_poll(
         .applied_seq
         .store(applier.applied_seq(), Ordering::Release);
     shared
+        .counters
         .records_applied
         .store(applier.records_applied(), Ordering::Relaxed);
-    shared.batches.fetch_add(1, Ordering::Relaxed);
+    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     if applied.saw_ddl {
         db.resync_catalog()?;
     }
@@ -641,7 +636,7 @@ fn apply_loop(
                 .clone();
             match StreamConn::connect(&addr) {
                 Ok(c) => {
-                    shared.connects.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.connects.fetch_add(1, Ordering::Relaxed);
                     conn = Some(c);
                 }
                 Err(_) => {

@@ -248,8 +248,96 @@ fn stats_request_serves_the_unified_tree() {
         "wire and in-process trees must have the same shape"
     );
 
+    // Names perfbench and `bench_pr10` read with `unwrap_or(0)`: a rename
+    // would silently zero a per-layer metric instead of failing there.
+    const READ_BY_BENCHMARKS: &[(&str, &str)] = &[
+        ("server", "requests"),
+        ("server", "statements"),
+        ("server", "response_bytes"),
+        ("server", "stmt_cache_hits"),
+        ("server", "stmt_cache_misses"),
+        ("server", "backpressure_pauses"),
+        ("audit", "declassifications"),
+        ("audit", "events"),
+        ("audit", "chained_records"),
+        ("engine", "tuples_scanned"),
+        ("engine", "full_table_scans"),
+        ("engine", "index_point_lookups"),
+        ("engine", "index_range_scans"),
+        ("engine", "buffer_hits"),
+        ("engine", "buffer_misses"),
+        ("engine", "evictions"),
+        ("engine", "writebacks"),
+        ("engine", "wal_bytes"),
+        ("engine", "wal_fsyncs"),
+        ("engine", "checkpoints"),
+        ("engine", "vacuums"),
+    ];
+    for (group, name) in READ_BY_BENCHMARKS {
+        assert!(
+            local.get(group, name).is_some(),
+            "in-process tree lacks {group}.{name}"
+        );
+        assert!(
+            snapshot.get(group, name).is_some(),
+            "wire tree lacks {group}.{name}"
+        );
+    }
+
+    // Quiesce: once the connection is torn down nothing moves, so the
+    // in-process tree must equal the typed snapshots field for field.
     c.close().unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().connections_active > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "connection never torn down"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let local = server.metrics();
+    let typed = debug_fields("server", &server.stats())
+        .into_iter()
+        .chain(debug_fields("engine", &server.database().engine().stats()));
+    let mut missing = Vec::new();
+    for (group, name, value) in typed {
+        // The engine's audit-chain length is served with the audit plane.
+        let (group, name) = match (group, name.as_str()) {
+            ("engine", "audit_records") => ("audit", "chained_records".to_string()),
+            _ => (group, name),
+        };
+        if snapshot.get(group, &name).is_none() {
+            missing.push(format!("wire {group}.{name}"));
+        }
+        match local.get(group, &name) {
+            None => missing.push(format!("in-process {group}.{name}")),
+            Some(served) => assert_eq!(served, value, "{group}.{name} on a quiesced server"),
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "typed fields missing from the Stats tree: {missing:?}"
+    );
+
     server.shutdown();
+}
+
+/// The `(group, field, value)` triples of a flat `u64` stats struct, read
+/// from its derived `Debug` output: the compiler's list of the struct's
+/// fields, independent of the counter declarations under test.
+fn debug_fields(
+    group: &'static str,
+    stats: &impl std::fmt::Debug,
+) -> Vec<(&'static str, String, u64)> {
+    let text = format!("{stats:?}");
+    let (_, body) = text.split_once(" { ").expect("a struct's Debug output");
+    body.trim_end_matches(" }")
+        .split(", ")
+        .map(|field| {
+            let (name, value) = field.split_once(": ").expect("`name: value`");
+            (group, name.to_string(), value.parse().expect("a u64 field"))
+        })
+        .collect()
 }
 
 /// `Stats` exposes counters that sum over labeled data (`tuples_scanned`,

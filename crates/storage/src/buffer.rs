@@ -26,17 +26,20 @@ struct Frame {
     last_use: u64,
 }
 
-/// Counters exposed by the buffer pool.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BufferStats {
-    /// Lookups served from the pool.
-    pub hits: u64,
-    /// Lookups that had to read from the page store.
-    pub misses: u64,
-    /// Dirty pages written back on eviction or flush.
-    pub writebacks: u64,
-    /// Pages evicted.
-    pub evictions: u64,
+crate::counters! {
+    /// Counters exposed by the buffer pool.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct BufferStats;
+    struct BufferCounters: Relaxed {
+        /// Lookups served from the pool.
+        hits,
+        /// Lookups that had to read from the page store.
+        misses,
+        /// Dirty pages written back on eviction or flush.
+        writebacks,
+        /// Pages evicted.
+        evictions,
+    }
 }
 
 /// A fixed-capacity, LRU buffer pool.
@@ -44,10 +47,7 @@ pub struct BufferPool {
     capacity: usize,
     frames: Mutex<HashMap<FrameKey, Frame>>,
     clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writebacks: AtomicU64,
-    evictions: AtomicU64,
+    counters: BufferCounters,
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -66,10 +66,7 @@ impl BufferPool {
             capacity: capacity.max(1),
             frames: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            writebacks: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            counters: BufferCounters::default(),
         })
     }
 
@@ -125,10 +122,10 @@ impl BufferPool {
         store: &dyn PageStore,
     ) -> StorageResult<()> {
         if frames.contains_key(&(table, id)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         // Evict until there is room. Dirty pages are written back through the
         // same store that owns them — but eviction candidates may belong to a
         // different table/store, so writeback happens lazily at flush time
@@ -149,10 +146,10 @@ impl BufferPool {
                 .map(|(k, _)| *k);
             let Some(key) = victim else { break };
             let frame = frames.remove(&key).expect("victim exists");
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             if frame.dirty {
                 store.write_page(key.1, &frame.page)?;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
+                self.counters.writebacks.fetch_add(1, Ordering::Relaxed);
             }
         }
         let page = store.read_page(id)?;
@@ -174,7 +171,7 @@ impl BufferPool {
             if key.0 == table && frame.dirty {
                 store.write_page(key.1, &frame.page)?;
                 frame.dirty = false;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
+                self.counters.writebacks.fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(())
@@ -188,12 +185,7 @@ impl BufferPool {
 
     /// Current statistics.
     pub fn stats(&self) -> BufferStats {
-        BufferStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.counters.load()
     }
 }
 

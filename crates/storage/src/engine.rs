@@ -22,7 +22,7 @@ use crate::heap::{RowId, TableHeap};
 use crate::index::{IndexKey, OrderedIndex};
 use crate::mvcc::{Snapshot, TransactionManager, TxnId, TxnStatus, BOOTSTRAP_TXN};
 use crate::schema::TableSchema;
-use crate::stats::EngineStats;
+use crate::stats::{EngineCounters, EngineStats};
 use crate::store::{FilePageStore, MemPageStore, PageStore};
 use crate::tuple::{TupleHeader, TupleVersion};
 use crate::value::Datum;
@@ -95,14 +95,7 @@ pub struct StorageEngine {
     by_name: RwLock<HashMap<String, TableId>>,
     stores: RwLock<HashMap<TableId, Arc<dyn PageStore>>>,
     next_table: AtomicU64,
-    tuples_inserted: AtomicU64,
-    tuples_deleted: AtomicU64,
-    tuples_scanned: AtomicU64,
-    full_table_scans: AtomicU64,
-    index_point_lookups: AtomicU64,
-    index_range_scans: AtomicU64,
-    recovery_replayed_records: AtomicU64,
-    checkpoints: AtomicU64,
+    counters: EngineCounters,
     commits_since_checkpoint: AtomicU64,
     /// Deferred-checkpoint coordination ([`StorageEngine::checkpoint_soon`]):
     /// `true` when a checkpoint was requested while transactions were still
@@ -110,10 +103,7 @@ pub struct StorageEngine {
     /// and the transaction that drains the engine performs the checkpoint.
     checkpoint_pending: StdMutex<bool>,
     checkpoint_cvar: Condvar,
-    checkpoints_deferred: AtomicU64,
-    vacuums: AtomicU64,
     commits_since_vacuum: AtomicU64,
-    replica_records_applied: AtomicU64,
     /// The tamper-evident audit chain ([`crate::audit`]): every link is also
     /// a [`LogRecord::Audit`] in the WAL, so the chain is durable, survives
     /// checkpoint compaction (images re-log it) and ships to replicas.
@@ -181,21 +171,11 @@ impl StorageEngine {
             by_name: RwLock::new(HashMap::new()),
             stores: RwLock::new(HashMap::new()),
             next_table: AtomicU64::new(1),
-            tuples_inserted: AtomicU64::new(0),
-            tuples_deleted: AtomicU64::new(0),
-            tuples_scanned: AtomicU64::new(0),
-            full_table_scans: AtomicU64::new(0),
-            index_point_lookups: AtomicU64::new(0),
-            index_range_scans: AtomicU64::new(0),
-            recovery_replayed_records: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
+            counters: EngineCounters::default(),
             commits_since_checkpoint: AtomicU64::new(0),
             checkpoint_pending: StdMutex::new(false),
             checkpoint_cvar: Condvar::new(),
-            checkpoints_deferred: AtomicU64::new(0),
-            vacuums: AtomicU64::new(0),
             commits_since_vacuum: AtomicU64::new(0),
-            replica_records_applied: AtomicU64::new(0),
             audit: Mutex::new(AuditChain::new()),
         }
     }
@@ -276,6 +256,7 @@ impl StorageEngine {
             engine.replay(&mirror.records)?
         };
         engine
+            .counters
             .recovery_replayed_records
             .store(recovery.record_count as u64, Ordering::Relaxed);
         if remapped {
@@ -656,7 +637,9 @@ impl StorageEngine {
         let mut pending = self.checkpoint_pending.lock().expect("checkpoint lock");
         if !*pending {
             *pending = true;
-            self.checkpoints_deferred.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .checkpoints_deferred
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -952,7 +935,9 @@ impl StorageEngine {
             let key = t.index_key(&entry.columns, &version.data);
             entry.index.insert(key, row);
         }
-        self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .tuples_inserted
+            .fetch_add(1, Ordering::Relaxed);
         Ok(row)
     }
 
@@ -986,7 +971,7 @@ impl StorageEngine {
             table: table.0,
             row,
         })?;
-        self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
+        self.counters.tuples_deleted.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1029,7 +1014,9 @@ impl StorageEngine {
         mut f: impl FnMut(RowId, TupleVersion) -> bool,
     ) -> StorageResult<()> {
         let t = self.table(table)?;
-        self.full_table_scans.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .full_table_scans
+            .fetch_add(1, Ordering::Relaxed);
         let mut scanned = 0u64;
         t.heap.scan(|row, version| {
             scanned += 1;
@@ -1039,7 +1026,9 @@ impl StorageEngine {
                 true
             }
         })?;
-        self.tuples_scanned.fetch_add(scanned, Ordering::Relaxed);
+        self.counters
+            .tuples_scanned
+            .fetch_add(scanned, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1052,7 +1041,9 @@ impl StorageEngine {
         key: &IndexKey,
     ) -> StorageResult<Vec<RowId>> {
         let t = self.table(table)?;
-        self.index_point_lookups.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .index_point_lookups
+            .fetch_add(1, Ordering::Relaxed);
         let indexes = t.indexes.read();
         let entry = indexes
             .iter()
@@ -1070,7 +1061,9 @@ impl StorageEngine {
         high: Option<&IndexKey>,
     ) -> StorageResult<Vec<(IndexKey, RowId)>> {
         let t = self.table(table)?;
-        self.index_range_scans.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .index_range_scans
+            .fetch_add(1, Ordering::Relaxed);
         let indexes = t.indexes.read();
         let entry = indexes
             .iter()
@@ -1088,7 +1081,9 @@ impl StorageEngine {
         prefix: &[Datum],
     ) -> StorageResult<Vec<(IndexKey, RowId)>> {
         let t = self.table(table)?;
-        self.index_range_scans.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .index_range_scans
+            .fetch_add(1, Ordering::Relaxed);
         let indexes = t.indexes.read();
         let entry = indexes
             .iter()
@@ -1152,7 +1147,7 @@ impl StorageEngine {
             }
             removed_total += removed;
         }
-        self.vacuums.fetch_add(1, Ordering::Relaxed);
+        self.counters.vacuums.fetch_add(1, Ordering::Relaxed);
         Ok(removed_total)
     }
 
@@ -1236,7 +1231,7 @@ impl StorageEngine {
             Ok(image)
         })?;
         drop(audit);
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.commits_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(count)
     }
@@ -1348,7 +1343,7 @@ impl StorageEngine {
         // From here on this node's transactions stream to peer replicas;
         // they must carry primary-range ids, like the old primary's did.
         self.txns.resume_primary_ids();
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.commits_since_checkpoint.store(0, Ordering::Relaxed);
         Ok(count)
     }
@@ -1448,7 +1443,9 @@ impl StorageEngine {
                         .or_default()
                         .push((*table, *row));
                 }
-                self.tuples_inserted.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .tuples_inserted
+                    .fetch_add(1, Ordering::Relaxed);
             }
             LogRecord::Delete { txn, table, row } => {
                 // Conflict resolution already happened on the primary; the
@@ -1458,7 +1455,7 @@ impl StorageEngine {
                 if let Some(new_row) = state.row_map.get(&(*table, *row)) {
                     let t = self.table(TableId(*table))?;
                     t.heap.set_xmax(*new_row, Some(*txn))?;
-                    self.tuples_deleted.fetch_add(1, Ordering::Relaxed);
+                    self.counters.tuples_deleted.fetch_add(1, Ordering::Relaxed);
                     if *txn == BOOTSTRAP_TXN {
                         // Bootstrap effects are committed by definition.
                         state.row_map.remove(&(*table, *row));
@@ -1525,7 +1522,9 @@ impl StorageEngine {
                     })?;
             }
         }
-        self.replica_records_applied.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .replica_records_applied
+            .fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1558,27 +1557,23 @@ impl StorageEngine {
 
     /// A snapshot of engine statistics.
     pub fn stats(&self) -> EngineStats {
-        let mut s = EngineStats::default().with_buffer(self.buffer.stats());
-        s.tuples_inserted = self.tuples_inserted.load(Ordering::Relaxed);
-        s.tuples_deleted = self.tuples_deleted.load(Ordering::Relaxed);
-        s.tuples_scanned = self.tuples_scanned.load(Ordering::Relaxed);
-        s.full_table_scans = self.full_table_scans.load(Ordering::Relaxed);
-        s.index_point_lookups = self.index_point_lookups.load(Ordering::Relaxed);
-        s.index_range_scans = self.index_range_scans.load(Ordering::Relaxed);
-        s.txns_started = self.txns.started_count();
-        s.wal_bytes = self.wal.bytes_written();
-        s.wal_fsyncs = self.wal.fsyncs();
-        s.commits_batched = self.wal.commits_batched();
-        s.recovery_replayed_records = self.recovery_replayed_records.load(Ordering::Relaxed);
-        s.checkpoints = self.checkpoints.load(Ordering::Relaxed);
-        s.checkpoints_deferred = self.checkpoints_deferred.load(Ordering::Relaxed);
-        s.vacuums = self.vacuums.load(Ordering::Relaxed);
-        s.replica_records_applied = self.replica_records_applied.load(Ordering::Relaxed);
-        s.audit_records = self.audit.lock().len() as u64;
+        let audit_records = self.audit.lock().len() as u64;
+        let buffer = self.buffer.stats();
         let stores = self.stores.read();
-        s.store_reads = stores.values().map(|st| st.reads()).sum();
-        s.store_writes = stores.values().map(|st| st.writes()).sum();
-        s
+        EngineStats {
+            buffer_hits: buffer.hits,
+            buffer_misses: buffer.misses,
+            writebacks: buffer.writebacks,
+            evictions: buffer.evictions,
+            txns_started: self.txns.started_count(),
+            wal_bytes: self.wal.bytes_written(),
+            wal_fsyncs: self.wal.fsyncs(),
+            commits_batched: self.wal.commits_batched(),
+            store_reads: stores.values().map(|st| st.reads()).sum(),
+            store_writes: stores.values().map(|st| st.writes()).sum(),
+            audit_records,
+            ..self.counters.load()
+        }
     }
 }
 
@@ -1982,6 +1977,9 @@ mod tests {
         assert!(s.tuples_scanned >= 1);
         assert!(s.wal_bytes > 0);
         assert!(s.txns_started >= 2);
+        let b = eng.buffer.stats();
+        assert_eq!((s.buffer_hits, s.buffer_misses), (b.hits, b.misses));
+        assert!(s.buffer_hits + s.buffer_misses > 0);
     }
 
     #[test]
